@@ -78,70 +78,6 @@ impl TranspositionCost {
     }
 }
 
-/// Which index tier generates candidate tids for a lookup (DESIGN §12).
-///
-/// The ETI is the paper's exact candidate generator; the LSH tier trades a
-/// bounded recall loss for fewer tid-list fetches by probing band keys of
-/// the same min-hash signatures. `Auto` resolves to one of the two per
-/// reference-table size via [`CandidateTier::resolve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateTier {
-    /// The exact Error Tolerant Index (paper §4.2). The default.
-    #[default]
-    Eti,
-    /// The approximate min-hash LSH banding index (DESIGN §12), with an
-    /// automatic per-query ETI fallback when no band collides.
-    Lsh,
-    /// Pick per table size: ETI below [`AUTO_LSH_MIN_TUPLES`] tuples, LSH at
-    /// or above it.
-    Auto,
-}
-
-/// Relation size at which [`CandidateTier::Auto`] switches from the exact
-/// ETI to the LSH tier. Below this the ETI's tid-lists are short enough
-/// that banding saves little and costs recall; the quick bench corpus
-/// (5 000 tuples) sits far under it, so `Auto` stays exact there.
-pub const AUTO_LSH_MIN_TUPLES: u64 = 100_000;
-
-impl CandidateTier {
-    /// Resolve `Auto` against the current reference-table size; fixed tiers
-    /// pass through unchanged. Pure, so replicas sharing one `next_tid`
-    /// counter resolve identically.
-    pub fn resolve(self, relation_size: u64) -> CandidateTier {
-        match self {
-            CandidateTier::Auto => {
-                if relation_size >= AUTO_LSH_MIN_TUPLES {
-                    CandidateTier::Lsh
-                } else {
-                    CandidateTier::Eti
-                }
-            }
-            fixed => fixed,
-        }
-    }
-
-    /// The CLI/server spelling of this tier.
-    pub fn label(self) -> &'static str {
-        match self {
-            CandidateTier::Eti => "eti",
-            CandidateTier::Lsh => "lsh",
-            CandidateTier::Auto => "auto",
-        }
-    }
-
-    /// Parse the CLI/server spelling (`eti` | `lsh` | `auto`).
-    pub fn parse(s: &str) -> Result<CandidateTier> {
-        match s {
-            "eti" => Ok(CandidateTier::Eti),
-            "lsh" => Ok(CandidateTier::Lsh),
-            "auto" => Ok(CandidateTier::Auto),
-            other => Err(CoreError::Config(format!(
-                "unknown candidate tier {other:?} (expected eti, lsh, or auto)"
-            ))),
-        }
-    }
-}
-
 /// Which upper bound the OSC stopping test (paper §4.3.2) compares the
 /// verified `fms` values against. The paper is internally inconsistent
 /// here: its formal test adds the full adjustment term (under which the
@@ -216,12 +152,6 @@ pub struct Config {
     pub max_candidates: usize,
     /// Bound used by the OSC stopping test (see [`OscStopping`]).
     pub osc_stopping: OscStopping,
-    /// Which index tier generates candidates (DESIGN §12).
-    pub candidate_tier: CandidateTier,
-    /// LSH band count `b` (signatures are banded into `b·r` coordinates).
-    pub lsh_bands: usize,
-    /// LSH rows per band `r`.
-    pub lsh_rows: usize,
 }
 
 impl Default for Config {
@@ -239,14 +169,6 @@ impl Default for Config {
             insert_pruning: true,
             max_candidates: 64,
             osc_stopping: OscStopping::default(),
-            candidate_tier: CandidateTier::default(),
-            // 3 bands x 3 rows: on the synthetic Customer corpus this is
-            // the smallest shape whose banding is selective enough to
-            // fetch fewer candidates than the exact ETI while keeping
-            // top-1 agreement with it above the bench gate's 0.95 floor
-            // (see BENCH_PR10.json "lsh").
-            lsh_bands: 3,
-            lsh_rows: 3,
         }
     }
 }
@@ -310,19 +232,6 @@ impl Config {
         self
     }
 
-    /// Choose the candidate-generation tier (DESIGN §12).
-    pub fn with_candidate_tier(mut self, tier: CandidateTier) -> Config {
-        self.candidate_tier = tier;
-        self
-    }
-
-    /// Shape of the LSH banding: `bands` bands of `rows` rows.
-    pub fn with_lsh_shape(mut self, bands: usize, rows: usize) -> Config {
-        self.lsh_bands = bands;
-        self.lsh_rows = rows;
-        self
-    }
-
     /// The paper's display label, e.g. `Q+T_3`.
     pub fn strategy_label(&self) -> String {
         self.scheme.label(self.h)
@@ -379,12 +288,6 @@ impl Config {
         if self.stop_qgram_threshold == 0 {
             return Err(CoreError::Config("stop threshold must be positive".into()));
         }
-        if self.lsh_bands == 0 || self.lsh_rows == 0 {
-            return Err(CoreError::Config(format!(
-                "lsh shape must be positive, got {} bands × {} rows",
-                self.lsh_bands, self.lsh_rows
-            )));
-        }
         Ok(())
     }
 
@@ -427,15 +330,6 @@ impl Config {
                 }
             }
         }
-        // Appended in PR 10; decode treats an absent tail as the defaults so
-        // pre-LSH catalogs keep opening.
-        out.push(match self.candidate_tier {
-            CandidateTier::Eti => 0,
-            CandidateTier::Lsh => 1,
-            CandidateTier::Auto => 2,
-        });
-        out.extend_from_slice(&(self.lsh_bands as u32).to_le_bytes());
-        out.extend_from_slice(&(self.lsh_rows as u32).to_le_bytes());
         out
     }
 
@@ -499,31 +393,33 @@ impl Config {
                 Some(w)
             }
         };
-        // LSH tail (PR 10): absent in pre-LSH catalogs, so an exhausted
-        // input means the defaults; a *partial* tail is still corruption.
-        // `take` is not used past this point, which releases its mutable
-        // borrow of `input` for the direct reads below.
-        let (candidate_tier, lsh_bands, lsh_rows) = if input.is_empty() {
-            let d = Config::default();
-            (d.candidate_tier, d.lsh_bands, d.lsh_rows)
-        } else {
-            if input.len() < 9 {
-                return Err(CoreError::BadState("truncated config".into()));
-            }
-            let tier = match input[0] {
-                0 => CandidateTier::Eti,
-                1 => CandidateTier::Lsh,
-                2 => CandidateTier::Auto,
-                other => {
+        // Catalogs written between the LSH tier's addition and its removal
+        // carry a 9-byte tail (tier code 0–2, u32 bands, u32 rows). It is
+        // still validated so corruption is caught, then discarded; any
+        // other trailing length is corruption.
+        match input.len() {
+            0 => {}
+            9 => {
+                if input[0] > 2 {
                     return Err(CoreError::BadState(format!(
-                        "bad candidate tier code {other}"
-                    )))
+                        "bad candidate tier code {}",
+                        input[0]
+                    )));
                 }
-            };
-            let bands = u32::from_le_bytes(arr(&input[1..5])?) as usize;
-            let rows = u32::from_le_bytes(arr(&input[5..9])?) as usize;
-            (tier, bands, rows)
-        };
+                let bands = u32::from_le_bytes(arr(&input[1..5])?);
+                let rows = u32::from_le_bytes(arr(&input[5..9])?);
+                if bands == 0 || rows == 0 {
+                    return Err(CoreError::BadState(format!(
+                        "bad lsh shape {bands} bands × {rows} rows"
+                    )));
+                }
+            }
+            n => {
+                return Err(CoreError::BadState(format!(
+                    "config has {n} unexpected trailing bytes"
+                )))
+            }
+        }
         Ok(Config {
             q,
             h,
@@ -537,9 +433,6 @@ impl Config {
             insert_pruning,
             max_candidates,
             osc_stopping,
-            candidate_tier,
-            lsh_bands,
-            lsh_rows,
         })
     }
 }
@@ -639,77 +532,61 @@ mod tests {
     #[test]
     fn decode_rejects_truncation() {
         let enc = base().encode();
-        // Cuts in the mandatory prefix and inside the 9-byte LSH tail: both
-        // are corruption. (A cut that removes the tail *exactly* is the
-        // pre-LSH layout and is accepted — see the back-compat test.)
-        for cut in [0, 5, 30, enc.len() - 10, enc.len() - 4, enc.len() - 1] {
+        for cut in [0, 5, 30, enc.len() - 1] {
             assert!(Config::decode(&enc[..cut]).is_err(), "cut {cut}");
         }
     }
 
+    /// `Config::default().with_columns(&["name"])` as encoded by the LSH-era
+    /// layout, with its 9-byte tail: tier code 1 (lsh), 8 bands, 3 rows.
+    fn lsh_era_catalog() -> Vec<u8> {
+        let mut enc = vec![
+            4, 0, 0, 0, // q
+            3, 0, 0, 0, // h
+            1, // scheme: q-grams + token
+            0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // cins = 0.5
+            0x10, 0x27, 0, 0, 0, 0, 0, 0, // stop threshold = 10 000
+            0x0d, 0xf0, 0xed, 0x5e, 0, 0, 0, 0, // seed
+            1, // insert pruning
+            64, 0, 0, 0, 0, 0, 0, 0, // max candidates
+            0, // osc stopping: sound
+            0, 0, 0, 0, 0, 0, 0, 0, 0, // no transposition
+            1, 0, 0, 0, 4, 0, 0, 0, b'n', b'a', b'm', b'e', // columns
+            0,    // no column weights
+        ];
+        enc.extend_from_slice(&[1, 8, 0, 0, 0, 3, 0, 0, 0]);
+        enc
+    }
+
     #[test]
     fn decode_pre_lsh_catalog_defaults_the_tier() {
-        // A config encoded before PR 10 has no tier/band/row tail; decoding
-        // must fill in the defaults so existing stores keep opening.
-        let c = base()
-            .with_candidate_tier(CandidateTier::Lsh)
-            .with_lsh_shape(8, 3);
-        let mut enc = c.encode();
-        enc.truncate(enc.len() - 9);
-        let dec = Config::decode(&enc).unwrap();
-        assert_eq!(dec.candidate_tier, CandidateTier::Eti);
-        assert_eq!(dec.lsh_bands, Config::default().lsh_bands);
-        assert_eq!(dec.lsh_rows, Config::default().lsh_rows);
+        // Catalogs written before the LSH tail existed, and catalogs that
+        // carry it, both still open; the tail is discarded.
+        let want = Config::default().with_columns(&["name"]);
+        let lsh_era = lsh_era_catalog();
+        let pre_lsh = &lsh_era[..lsh_era.len() - 9];
+        assert_eq!(pre_lsh, want.encode().as_slice());
+        for enc in [pre_lsh, lsh_era.as_slice()] {
+            assert_eq!(Config::decode(enc).unwrap(), want);
+        }
     }
 
     #[test]
     fn decode_rejects_bad_tier_code() {
-        let mut enc = base().encode();
-        let i = enc.len() - 9;
-        enc[i] = 7;
-        let err = Config::decode(&enc).unwrap_err().to_string();
+        let good = lsh_era_catalog();
+        let i = good.len() - 9;
+        let mut bad_tier = good.clone();
+        bad_tier[i] = 7;
+        let err = Config::decode(&bad_tier).unwrap_err().to_string();
         assert!(err.contains("candidate tier"), "got: {err}");
-    }
-
-    #[test]
-    fn tier_round_trips_and_validates() {
-        for tier in [CandidateTier::Eti, CandidateTier::Lsh, CandidateTier::Auto] {
-            let c = base().with_candidate_tier(tier).with_lsh_shape(6, 3);
-            assert!(c.validate().is_ok());
-            let dec = Config::decode(&c.encode()).unwrap();
-            assert_eq!(dec, c);
-        }
-        assert!(base().with_lsh_shape(0, 2).validate().is_err());
-        assert!(base().with_lsh_shape(4, 0).validate().is_err());
-    }
-
-    #[test]
-    fn tier_labels_parse_round_trip() {
-        for tier in [CandidateTier::Eti, CandidateTier::Lsh, CandidateTier::Auto] {
-            assert_eq!(CandidateTier::parse(tier.label()).unwrap(), tier);
-        }
-        assert!(CandidateTier::parse("fancy").is_err());
-    }
-
-    #[test]
-    fn auto_tier_policy_picks_eti_small_lsh_large() {
-        // The acceptance-criteria policy function: Auto resolves to Eti on
-        // the 5k quick corpus and to Lsh at paper scale; fixed tiers pass
-        // through regardless of size.
-        assert_eq!(CandidateTier::Auto.resolve(0), CandidateTier::Eti);
-        assert_eq!(CandidateTier::Auto.resolve(5_000), CandidateTier::Eti);
-        assert_eq!(
-            CandidateTier::Auto.resolve(AUTO_LSH_MIN_TUPLES - 1),
-            CandidateTier::Eti
-        );
-        assert_eq!(
-            CandidateTier::Auto.resolve(AUTO_LSH_MIN_TUPLES),
-            CandidateTier::Lsh
-        );
-        assert_eq!(CandidateTier::Auto.resolve(1_700_000), CandidateTier::Lsh);
-        for size in [0, 5_000, 1_700_000] {
-            assert_eq!(CandidateTier::Eti.resolve(size), CandidateTier::Eti);
-            assert_eq!(CandidateTier::Lsh.resolve(size), CandidateTier::Lsh);
+        // A zero-sized shape, a partial tail and an over-long tail are
+        // corruption too.
+        let mut zero_bands = good.clone();
+        zero_bands[i + 1] = 0;
+        let mut long = good.clone();
+        long.push(0);
+        for enc in [&zero_bands[..], &good[..good.len() - 4], &long[..]] {
+            assert!(Config::decode(enc).is_err());
         }
     }
 }

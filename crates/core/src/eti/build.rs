@@ -22,7 +22,6 @@ use fm_text::minhash::MinHasher;
 use crate::config::SignatureScheme;
 use crate::error::Result;
 use crate::eti::{token_signature, Eti};
-use crate::lsh::LshIndex;
 use crate::record::TokenizedRecord;
 
 /// Build-phase counters (reported by the Figure-7 experiment harness).
@@ -32,28 +31,22 @@ pub struct BuildStats {
     pub reference_tuples: u64,
     /// Pre-ETI rows written (signature coordinates emitted).
     pub pre_eti_records: u64,
-    /// Sort runs spilled to disk (pre-ETI and pre-LSH sorters combined).
+    /// Sort runs spilled to disk.
     pub spilled_runs: usize,
     /// Logical ETI rows (distinct `(gram, coordinate, column)` groups).
     pub eti_groups: u64,
     /// Groups classified as stop q-grams.
     pub stop_qgrams: u64,
-    /// Pre-LSH rows written (band keys emitted; 0 without an LSH tier).
-    pub lsh_records: u64,
-    /// Logical LSH posting lists (distinct `(column, band, key)` groups).
-    pub lsh_groups: u64,
-    /// Posting lists classified as stop bands.
-    pub lsh_stop_bands: u64,
 }
 
 /// Encode one pre-ETI row.
 fn pre_eti_record(gram: &str, coordinate: u8, column: u8, tid: u32) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(gram.len() + 10);
-    keycode::encode_str(&mut rec, gram);
-    keycode::encode_u8(&mut rec, coordinate);
-    keycode::encode_u8(&mut rec, column);
-    keycode::encode_u32(&mut rec, tid); // big-endian: ties ordered by tid
-    rec
+    keycode::KeyBuf::with_capacity(gram.len() + 10)
+        .str(gram)
+        .u8(coordinate)
+        .u8(column)
+        .u32(tid) // big-endian: ties ordered by tid
+        .into_bytes()
 }
 
 /// Decode a pre-ETI row.
@@ -68,36 +61,10 @@ fn parse_pre_eti_record(rec: &[u8]) -> Result<(String, u8, u8, u32)> {
     Ok((gram, coordinate, column, tid))
 }
 
-/// Encode one pre-LSH row: the LSH index's clustered key order
-/// `(column, band, key)` followed by the big-endian tid.
-fn pre_lsh_record(column: u8, band: u8, key: u64, tid: u32) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(14);
-    keycode::encode_u8(&mut rec, column);
-    keycode::encode_u8(&mut rec, band);
-    keycode::encode_u64(&mut rec, key);
-    keycode::encode_u32(&mut rec, tid); // big-endian: ties ordered by tid
-    rec
-}
-
-/// Decode a pre-LSH row.
-fn parse_pre_lsh_record(rec: &[u8]) -> Result<(u8, u8, u64, u32)> {
-    let (column, rest) = keycode::decode_u8(rec)?;
-    let (band, rest) = keycode::decode_u8(rest)?;
-    let (key, rest) = keycode::decode_u64(rest)?;
-    let (tid, rest) = keycode::decode_u32(rest)?;
-    if !rest.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in pre-LSH record".into()).into());
-    }
-    Ok((column, band, key, tid))
-}
-
 /// Incremental ETI builder: feed tokenized reference tuples, then
-/// [`EtiBuilder::finish`] into the target index. With
-/// [`EtiBuilder::with_lsh`], the same pass also feeds a second external
-/// sorter of pre-LSH rows and `finish` bulk-fills the LSH tier too.
+/// [`EtiBuilder::finish`] into the target index.
 pub struct EtiBuilder {
     sorter: ExternalSorter,
-    lsh: Option<(ExternalSorter, LshIndex)>,
     minhasher: MinHasher,
     scheme: SignatureScheme,
     stats: BuildStats,
@@ -113,26 +80,13 @@ impl EtiBuilder {
     ) -> Result<EtiBuilder> {
         Ok(EtiBuilder {
             sorter: ExternalSorter::with_budget(sort_budget)?,
-            lsh: None,
             minhasher,
             scheme,
             stats: BuildStats::default(),
         })
     }
 
-    /// Also build the LSH candidate tier into `lsh` (a handle onto the
-    /// target index; [`EtiBuilder::finish`] bulk-fills it alongside the
-    /// ETI). `sort_budget` is the pre-LSH sorter's own memory budget.
-    pub fn with_lsh(mut self, lsh: &LshIndex, sort_budget: usize) -> Result<EtiBuilder> {
-        self.lsh = Some((
-            ExternalSorter::with_budget(sort_budget)?,
-            lsh.clone_handle(),
-        ));
-        Ok(self)
-    }
-
-    /// Emit the pre-ETI (and, when enabled, pre-LSH) rows of one reference
-    /// tuple.
+    /// Emit the pre-ETI rows of one reference tuple.
     pub fn observe(&mut self, tid: u32, tuple: &TokenizedRecord) -> Result<()> {
         self.stats.reference_tuples += 1;
         for (col, token) in tuple.iter_tokens() {
@@ -145,26 +99,17 @@ impl EtiBuilder {
                 ))?;
                 self.stats.pre_eti_records += 1;
             }
-            if let Some((sorter, lsh)) = &mut self.lsh {
-                for (band, key) in lsh.band_keys(token).into_iter().enumerate() {
-                    sorter.push(&pre_lsh_record(col as u8, band as u8, key, tid))?;
-                    self.stats.lsh_records += 1;
-                }
-            }
         }
         Ok(())
     }
 
-    /// Sort, group, and bulk-load every ETI row into `eti` (and, when
-    /// enabled, every LSH posting list into the tier registered by
-    /// [`EtiBuilder::with_lsh`]).
+    /// Sort, group, and bulk-load every ETI row into `eti`.
     ///
     /// The merge output arrives in exactly the clustered-index key order
     /// (gram, coordinate, column, tid), so the physical entries can be
     /// streamed straight into [`fm_store::BTree::bulk_fill`] — leaves packed
     /// to the fill factor, internal levels built bottom-up — without ever
-    /// materializing the index in memory. The LSH fill streams the same way
-    /// in `(column, band, key, tid)` order.
+    /// materializing the index in memory.
     pub fn finish(mut self, eti: &Eti) -> Result<BuildStats> {
         self.stats.spilled_runs = self.sorter.spilled_runs();
         let sorted = self.sorter.finish()?;
@@ -184,26 +129,6 @@ impl EtiBuilder {
         eti.bulk_fill_entries(stream)?;
         if let Some(e) = error {
             return Err(e);
-        }
-        if let Some((sorter, lsh)) = self.lsh.take() {
-            let _span = crate::tracing::span("lsh_fill");
-            stats.spilled_runs += sorter.spilled_runs();
-            let sorted = sorter.finish()?;
-            let mut error: Option<crate::error::CoreError> = None;
-            let stream = LshEntryStream {
-                sorted,
-                lsh: &lsh,
-                stats: &mut stats,
-                error: &mut error,
-                current: None,
-                tids: Vec::new(),
-                queue: std::collections::VecDeque::new(),
-                done: false,
-            };
-            lsh.bulk_fill_entries(stream)?;
-            if let Some(e) = error {
-                return Err(e);
-            }
         }
         Ok(stats)
     }
@@ -275,78 +200,6 @@ impl Iterator for EntryStream<'_> {
                         } else {
                             self.flush_group();
                             self.current = Some(key);
-                            self.tids.push(tid);
-                        }
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// The LSH sibling of [`EntryStream`]: sorted pre-LSH records → physical
-/// posting-list entries, one `(column, band, key)` group at a time.
-struct LshEntryStream<'a> {
-    sorted: fm_store::extsort::SortedRun,
-    lsh: &'a LshIndex,
-    stats: &'a mut BuildStats,
-    error: &'a mut Option<crate::error::CoreError>,
-    current: Option<(u8, u8, u64)>,
-    tids: Vec<u32>,
-    queue: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
-    done: bool,
-}
-
-impl LshEntryStream<'_> {
-    fn flush_group(&mut self) {
-        if let Some((column, band, key)) = self.current.take() {
-            self.stats.lsh_groups += 1;
-            if self.tids.len() > self.lsh.stop_threshold() {
-                self.stats.lsh_stop_bands += 1;
-            }
-            self.queue
-                .extend(self.lsh.group_entries(column, band, key, &self.tids));
-            self.tids.clear();
-        }
-    }
-}
-
-impl Iterator for LshEntryStream<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(entry) = self.queue.pop_front() {
-                return Some(entry);
-            }
-            if self.done {
-                return None;
-            }
-            match self.sorted.next_record() {
-                Err(e) => {
-                    *self.error = Some(e.into());
-                    self.done = true;
-                }
-                Ok(None) => {
-                    self.flush_group();
-                    self.done = true;
-                }
-                Ok(Some(rec)) => match parse_pre_lsh_record(&rec) {
-                    Err(e) => {
-                        *self.error = Some(e);
-                        self.done = true;
-                    }
-                    Ok((column, band, key, tid)) => {
-                        let group = (column, band, key);
-                        if self.current == Some(group) {
-                            // Dedupe: two tokens of one tuple can share a
-                            // band key; the posting list is a tuple set.
-                            if self.tids.last() != Some(&tid) {
-                                self.tids.push(tid);
-                            }
-                        } else {
-                            self.flush_group();
-                            self.current = Some(group);
                             self.tids.push(tid);
                         }
                     }
@@ -513,104 +366,6 @@ mod tests {
         let list = eti.lookup(gram, 1, 0).unwrap().unwrap();
         assert_eq!(list.frequency, 20);
         assert_eq!(list.tids, None);
-    }
-
-    fn make_lsh(seed: u64, stop: usize) -> LshIndex {
-        let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 64));
-        LshIndex::new(BTree::create(pool).unwrap(), 4, 2, 3, seed, stop)
-    }
-
-    #[test]
-    fn lsh_fill_builds_posting_lists_alongside_the_eti() {
-        let mh = MinHasher::new(2, 3, 7);
-        let lsh = make_lsh(7, 10_000);
-        let mut builder = EtiBuilder::new(mh, SignatureScheme::QGrams, 1 << 20)
-            .unwrap()
-            .with_lsh(&lsh, 1 << 20)
-            .unwrap();
-        let rows = [
-            tok(&["Boeing Company", "Seattle", "WA", "98004"]),
-            tok(&["Bon Corporation", "Seattle", "WA", "98014"]),
-            tok(&["Companions", "Seattle", "WA", "98024"]),
-        ];
-        for (i, row) in rows.iter().enumerate() {
-            builder.observe(i as u32 + 1, row).unwrap();
-        }
-        let eti = make_eti(10_000);
-        let stats = builder.finish(&eti).unwrap();
-        assert!(stats.eti_groups > 0, "eti still built");
-        assert!(stats.lsh_records > 0 && stats.lsh_groups > 0);
-        assert_eq!(stats.lsh_stop_bands, 0);
-        // 'seattle' is in all three tuples (column 1): every band's posting
-        // list is exactly {1, 2, 3}.
-        for (band, key) in lsh.band_keys("seattle").into_iter().enumerate() {
-            let list = lsh.lookup(1, band as u8, key).unwrap().unwrap();
-            assert_eq!(list.tids, Some(vec![1, 2, 3]), "band {band}");
-            assert_eq!(list.frequency, 3);
-        }
-        // 'boeing' is only in tuple 1 (column 0).
-        for (band, key) in lsh.band_keys("boeing").into_iter().enumerate() {
-            let list = lsh.lookup(0, band as u8, key).unwrap().unwrap();
-            assert!(list.tids.as_ref().unwrap().contains(&1), "band {band}");
-        }
-        lsh.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn spilled_lsh_build_equals_in_memory_build() {
-        let rows: Vec<TokenizedRecord> = (0..200)
-            .map(|i| tok(&[&format!("customer number{} common", i % 37), "city"]))
-            .collect();
-        let build = |budget: usize| -> LshIndex {
-            let mh = MinHasher::new(2, 3, 7);
-            let lsh = make_lsh(7, 10_000);
-            let mut b = EtiBuilder::new(mh, SignatureScheme::QGrams, 1 << 20)
-                .unwrap()
-                .with_lsh(&lsh, budget)
-                .unwrap();
-            for (i, row) in rows.iter().enumerate() {
-                b.observe(i as u32 + 1, row).unwrap();
-            }
-            let eti = make_eti(10_000);
-            b.finish(&eti).unwrap();
-            lsh
-        };
-        let spilled = build(256);
-        let memory = build(64 << 20);
-        for token in ["common", "number3", "city"] {
-            for (band, key) in spilled.band_keys(token).into_iter().enumerate() {
-                for col in 0..2u8 {
-                    assert_eq!(
-                        spilled.lookup(col, band as u8, key).unwrap(),
-                        memory.lookup(col, band as u8, key).unwrap(),
-                        "mismatch at {token}/band {band}/col {col}"
-                    );
-                }
-            }
-        }
-        spilled.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lsh_stop_threshold_applied_during_build() {
-        let mh = MinHasher::new(1, 3, 7);
-        let lsh = make_lsh(7, 10);
-        let mut builder = EtiBuilder::new(mh, SignatureScheme::QGrams, 1 << 20)
-            .unwrap()
-            .with_lsh(&lsh, 1 << 20)
-            .unwrap();
-        // 'common' appears in 20 tuples; threshold 10 → stop bands.
-        for tid in 1..=20 {
-            builder.observe(tid, &tok(&["common"])).unwrap();
-        }
-        let eti = make_eti(10);
-        let stats = builder.finish(&eti).unwrap();
-        assert_eq!(stats.lsh_stop_bands as usize, lsh.bands());
-        for (band, key) in lsh.band_keys("common").into_iter().enumerate() {
-            let list = lsh.lookup(0, band as u8, key).unwrap().unwrap();
-            assert_eq!(list.frequency, 20, "band {band}");
-            assert_eq!(list.tids, None, "band {band}");
-        }
     }
 
     #[test]

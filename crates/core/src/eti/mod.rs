@@ -191,17 +191,20 @@ impl Eti {
 
     /// Key prefix shared by all chunks of one logical row.
     fn prefix(gram: &str, coordinate: u8, column: u8) -> Vec<u8> {
-        let mut key = Vec::with_capacity(gram.len() + 8);
-        keycode::encode_str(&mut key, gram);
-        keycode::encode_u8(&mut key, coordinate);
-        keycode::encode_u8(&mut key, column);
-        key
+        Self::row_key(gram, coordinate, column).into_bytes()
     }
 
     fn chunk_key(gram: &str, coordinate: u8, column: u8, chunk: u32) -> Vec<u8> {
-        let mut key = Self::prefix(gram, coordinate, column);
-        keycode::encode_u32(&mut key, chunk);
-        key
+        Self::row_key(gram, coordinate, column)
+            .u32(chunk)
+            .into_bytes()
+    }
+
+    fn row_key(gram: &str, coordinate: u8, column: u8) -> keycode::KeyBuf {
+        keycode::KeyBuf::with_capacity(gram.len() + 8)
+            .str(gram)
+            .u8(coordinate)
+            .u8(column)
     }
 
     /// Look up the tid-list for `(gram, coordinate, column)`. One logical

@@ -51,7 +51,6 @@ pub mod config;
 pub mod error;
 pub mod eti;
 pub mod explain;
-pub mod lsh;
 pub mod matcher;
 pub mod metrics;
 pub mod naive;
@@ -62,11 +61,10 @@ pub mod telemetry;
 pub mod tracing;
 pub mod weights;
 
-pub use config::{CandidateTier, Config, OscStopping, SignatureScheme, TranspositionCost};
+pub use config::{Config, OscStopping, SignatureScheme, TranspositionCost};
 pub use error::{CoreError, Result};
 pub use eti::EtiCheck;
 pub use explain::Explain;
-pub use lsh::{LshCheck, LshIndex};
 pub use matcher::{FuzzyMatcher, Match, MatchResult, MatcherCheck};
 pub use metrics::{LookupTrace, MetricsCheck, MetricsRegistry, MetricsSnapshot};
 pub use query::{QueryMode, QueryStats};

@@ -1,6 +1,6 @@
 //! The fuzzy matcher façade: build / open / lookup / maintain.
 //!
-//! A matcher owns six named objects inside one [`fm_store::Database`]
+//! A matcher owns five named objects inside one [`fm_store::Database`]
 //! (all standard relations/indexes, per the paper's deployability
 //! requirement):
 //!
@@ -9,15 +9,15 @@
 //! | `{p}.ref`         | the reference relation `R[tid, A1..An]`         |
 //! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute") |
 //! | `{p}.eti`         | the Error Tolerant Index                        |
-//! | `{p}.lsh`         | the LSH candidate tier: band-key → tid posting lists (DESIGN §12) |
 //! | `{p}.freq`        | token frequencies `(column, token) → freq`      |
 //! | `{p}.state`       | relation size and tid counter                   |
-//! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds and candidate tier) |
+//! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds)           |
 //!
 //! Lookups are `&self` and internally read-locked, so one matcher can serve
 //! concurrent query threads; [`FuzzyMatcher::insert_reference`] (ETI
 //! maintenance) takes the write path.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -29,15 +29,13 @@ use fm_store::{BTree, Database, StoreError, Value};
 use fm_text::minhash::MinHasher;
 use fm_text::Tokenizer;
 
-use crate::config::{CandidateTier, Config};
+use crate::config::Config;
 use crate::error::{CoreError, Result};
 use crate::eti::build::{BuildStats, EtiBuilder};
 use crate::eti::{token_signature, Eti};
-use crate::lsh::LshIndex;
 use crate::metrics::{LookupTrace, MetricsRegistry, MetricsSnapshot};
 use crate::query::{
-    basic_lookup, basic_lookup_with, osc_lookup, osc_lookup_with, LshSource, QueryContext,
-    QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
+    basic_lookup, osc_lookup, QueryContext, QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
 };
 use crate::record::{Record, TokenizedRecord};
 use crate::sim::Similarity;
@@ -82,7 +80,6 @@ pub struct FuzzyMatcher {
     minhasher: MinHasher,
     weights: Arc<RwLock<WeightTable>>,
     eti: Eti,
-    lsh: LshIndex,
     // lint:allow(lockset): Table handles synchronize on the pool's frame latches (DESIGN §11)
     ref_table: fm_store::catalog::Table,
     // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
@@ -101,10 +98,10 @@ fn tid_key(tid: u32) -> [u8; 4] {
 }
 
 fn freq_key(col: usize, token: &str) -> Vec<u8> {
-    let mut key = Vec::with_capacity(token.len() + 4);
-    keycode::encode_u8(&mut key, col as u8);
-    keycode::encode_str(&mut key, token);
-    key
+    keycode::KeyBuf::with_capacity(token.len() + 4)
+        .u8(col as u8)
+        .str(token)
+        .into_bytes()
 }
 
 fn ref_schema(config: &Config) -> fm_store::Schema {
@@ -166,22 +163,12 @@ impl FuzzyMatcher {
         let ref_table = db.create_table(&format!("{prefix}.ref"), ref_schema(&config))?;
         let tid_index = db.create_index(&format!("{prefix}.tid"))?;
         let eti_tree = db.create_index(&format!("{prefix}.eti"))?;
-        let lsh_tree = db.create_index(&format!("{prefix}.lsh"))?;
         let freq_index = db.create_index(&format!("{prefix}.freq"))?;
         let state_index = db.create_index(&format!("{prefix}.state"))?;
         let eti = Eti::new(eti_tree, config.stop_qgram_threshold);
-        let lsh = LshIndex::new(
-            lsh_tree,
-            config.lsh_bands,
-            config.lsh_rows,
-            config.q,
-            config.seed,
-            config.stop_qgram_threshold,
-        );
 
         let mut freqs = TokenFrequencies::new(arity);
-        let mut builder = EtiBuilder::new(minhasher.clone(), config.scheme, sort_budget)?
-            .with_lsh(&lsh, sort_budget)?;
+        let mut builder = EtiBuilder::new(minhasher.clone(), config.scheme, sort_budget)?;
         let mut next_tid = 1u32;
         {
             let _span = tracing::span("pre_eti");
@@ -219,7 +206,6 @@ impl FuzzyMatcher {
             minhasher,
             weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
             eti,
-            lsh,
             ref_table,
             tid_index,
             freq_index,
@@ -239,14 +225,6 @@ impl FuzzyMatcher {
         let ref_table = db.open_table(&format!("{prefix}.ref"))?;
         let tid_index = db.open_index(&format!("{prefix}.tid"))?;
         let eti_tree = db.open_index(&format!("{prefix}.eti"))?;
-        // Pre-LSH catalogs have no `{p}.lsh` object (the same stores whose
-        // configs decode to the default Eti tier): create an empty one so
-        // maintenance keeps it current from here on.
-        let lsh_tree = match db.open_index(&format!("{prefix}.lsh")) {
-            Ok(tree) => tree,
-            Err(StoreError::NotFound(_)) => db.create_index(&format!("{prefix}.lsh"))?,
-            Err(e) => return Err(e.into()),
-        };
         let freq_index = db.open_index(&format!("{prefix}.freq"))?;
         let state_index = db.open_index(&format!("{prefix}.state"))?;
 
@@ -287,21 +265,12 @@ impl FuzzyMatcher {
 
         let minhasher = MinHasher::new(config.h, config.q, config.seed);
         let eti = Eti::new(eti_tree, config.stop_qgram_threshold);
-        let lsh = LshIndex::new(
-            lsh_tree,
-            config.lsh_bands,
-            config.lsh_rows,
-            config.q,
-            config.seed,
-            config.stop_qgram_threshold,
-        );
         Ok(FuzzyMatcher {
             config,
             tokenizer: Tokenizer::new(),
             minhasher,
             weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
             eti,
-            lsh,
             ref_table,
             tid_index,
             freq_index,
@@ -330,7 +299,6 @@ impl FuzzyMatcher {
             minhasher: self.minhasher.clone(),
             weights: Arc::clone(&self.weights),
             eti: self.eti.clone_handle(),
-            lsh: self.lsh.clone_handle(),
             ref_table: self.ref_table.clone_handle(),
             tid_index: self.tid_index.clone_handle(),
             freq_index: self.freq_index.clone_handle(),
@@ -344,15 +312,6 @@ impl FuzzyMatcher {
     /// The configuration the matcher was built with.
     pub fn config(&self) -> &Config {
         &self.config
-    }
-
-    /// Override the candidate tier for this handle (serving-layer and CLI
-    /// hook; `replicate` copies the override into new replicas). The
-    /// persisted config is untouched — the tier is a per-handle query-time
-    /// choice, not a property of the on-disk indexes, which always carry
-    /// both tiers.
-    pub fn set_candidate_tier(&mut self, tier: CandidateTier) {
-        self.config.candidate_tier = tier;
     }
 
     pub(crate) fn tokenizer(&self) -> &Tokenizer {
@@ -383,17 +342,6 @@ impl FuzzyMatcher {
     /// Number of physical ETI entries.
     pub fn eti_entry_count(&self) -> Result<usize> {
         self.eti.entry_count()
-    }
-
-    /// Number of physical LSH posting-list rows.
-    pub fn lsh_entry_count(&self) -> Result<usize> {
-        self.lsh.entry_count()
-    }
-
-    /// The LSH candidate tier (band keys for `explain`, direct probes for
-    /// tests).
-    pub(crate) fn lsh(&self) -> &LshIndex {
-        &self.lsh
     }
 
     /// Inspect one ETI row (the tid-list of a `(gram, coordinate, column)`
@@ -480,38 +428,9 @@ impl FuzzyMatcher {
             eti: &self.eti,
             reference: &fetcher,
         };
-        let resolved = self
-            .config
-            .candidate_tier
-            .resolve(weights.frequencies().relation_size());
-        let (scored, mut trace) = match resolved {
-            CandidateTier::Eti | CandidateTier::Auto => match mode {
-                QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
-                QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
-            },
-            CandidateTier::Lsh => {
-                let source = LshSource { lsh: &self.lsh };
-                let (scored, trace) = match mode {
-                    QueryMode::Basic => basic_lookup_with(&ctx, &source, &tokens, k, c)?,
-                    QueryMode::Osc => osc_lookup_with(&ctx, &source, &tokens, k, c)?,
-                };
-                if scored.is_empty() && trace.lsh_probes > 0 {
-                    // Recall safety net: the banding filter found nothing
-                    // above threshold — re-run through the exact ETI and
-                    // carry the tier's counters into the final trace.
-                    crate::tracing::instant("lsh_fallback");
-                    let (scored, mut retrace) = match mode {
-                        QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
-                        QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
-                    };
-                    retrace.lsh_probes = trace.lsh_probes;
-                    retrace.lsh_collisions = trace.lsh_collisions;
-                    retrace.lsh_fallbacks = 1;
-                    (scored, retrace)
-                } else {
-                    (scored, trace)
-                }
-            }
+        let (scored, mut trace) = match mode {
+            QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
+            QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
         };
         drop(weights);
         drop(_rank);
@@ -602,13 +521,12 @@ impl FuzzyMatcher {
                 .insert(b"relation_size", &n.to_le_bytes())?;
         }
 
-        // ETI rows, then the LSH tier's posting lists.
+        // ETI rows.
         for (col, token) in tokens.iter_tokens() {
             for entry in token_signature(token, &self.minhasher, self.config.scheme) {
                 self.eti
                     .remove_tid(&entry.gram, entry.coordinate, col as u8, tid)?;
             }
-            self.lsh.remove_token(col as u8, token, tid)?;
         }
         Ok(record)
     }
@@ -745,7 +663,6 @@ impl FuzzyMatcher {
                 self.eti
                     .append_tid(&entry.gram, entry.coordinate, col as u8, tid)?;
             }
-            self.lsh.append_token(col as u8, token, tid)?;
         }
         Ok(tid)
     }
@@ -759,12 +676,13 @@ impl FuzzyMatcher {
     ///   its IDF inputs — `|R|` and every `(column, token)` frequency —
     ///   equal a fresh recount from a full scan of the reference relation;
     /// * the tid index is a bijection onto the reference rows;
+    /// * every reference tuple is reachable through the ETI: each of its
+    ///   tokens' signature rows exists and lists its tid, or is a stop row;
     /// * the persisted frequency index and state rows agree with the live
     ///   table, so a reopened matcher would see the same weights;
     /// * the tid counter is strictly above every stored tid.
     pub fn check_invariants(&self) -> Result<MatcherCheck> {
         let eti = self.eti.check_invariants()?;
-        let lsh = self.lsh.check_invariants()?;
         let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
         weights.check_invariants()?;
@@ -773,6 +691,9 @@ impl FuzzyMatcher {
         let mut observed = TokenFrequencies::new(self.config.arity());
         let mut max_tid: Option<u32> = None;
         let mut tuples = 0usize;
+        // ETI rows by `(column, coordinate, gram)`, each read once. `None`
+        // is a stop row (tid-list elided); a missing row reads as empty.
+        let mut eti_rows: HashMap<(u8, u8, String), Option<Vec<u32>>> = HashMap::new();
         for row in self.ref_table.scan() {
             let (rid, row) = row?;
             let tid = row[0]
@@ -795,7 +716,31 @@ impl FuzzyMatcher {
                      lives at {rid:?}"
                 )));
             }
-            observed.observe(&row_to_record(&row).tokenize(&self.tokenizer));
+            let tokens = row_to_record(&row).tokenize(&self.tokenizer);
+            for (col, token) in tokens.iter_tokens() {
+                for entry in token_signature(token, &self.minhasher, self.config.scheme) {
+                    let key = (col as u8, entry.coordinate, entry.gram);
+                    let listed = match eti_rows.entry(key) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            let (column, coordinate, gram) = e.key();
+                            let list = self.eti.lookup(gram, *coordinate, *column)?;
+                            e.insert(list.map_or(Some(Vec::new()), |l| l.tids))
+                        }
+                    };
+                    if listed
+                        .as_ref()
+                        .is_some_and(|t| t.binary_search(&tid).is_err())
+                    {
+                        return Err(CoreError::BadState(format!(
+                            "reference tuple tid {tid} is missing from the ETI \
+                             row of token {token:?} (column {col}, coordinate {})",
+                            entry.coordinate
+                        )));
+                    }
+                }
+            }
+            observed.observe(&tokens);
             max_tid = Some(max_tid.map_or(tid, |m| m.max(tid)));
             tuples += 1;
         }
@@ -886,7 +831,6 @@ impl FuzzyMatcher {
             reference_tuples: tuples,
             distinct_tokens: weights.frequencies().distinct_tokens(),
             eti,
-            lsh,
         })
     }
 }
@@ -900,8 +844,6 @@ pub struct MatcherCheck {
     pub distinct_tokens: usize,
     /// The ETI's own report.
     pub eti: crate::eti::EtiCheck,
-    /// The LSH candidate tier's own report.
-    pub lsh: crate::lsh::LshCheck,
 }
 
 /// Borrow-friendly [`ReferenceFetch`] implementation for the query layer.
@@ -1460,6 +1402,25 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_detects_tid_missing_from_an_eti_row() {
+        let db = Database::in_memory().unwrap();
+        let m = build_table1(&db);
+        let entry = token_signature("boeing", &m.minhasher, m.config.scheme)
+            .into_iter()
+            .next()
+            .unwrap();
+        let row = m.eti.lookup(&entry.gram, entry.coordinate, 0).unwrap();
+        assert!(row.unwrap().tids.unwrap().contains(&1), "a non-stop row");
+        // The ETI stays self-consistent; only the relation→ETI link breaks.
+        m.eti
+            .remove_tid(&entry.gram, entry.coordinate, 0, 1)
+            .unwrap();
+        m.eti.check_invariants().unwrap();
+        let err = m.check_invariants().unwrap_err().to_string();
+        assert!(err.contains("tid 1") && err.contains("ETI"), "got: {err}");
+    }
+
+    #[test]
     fn check_invariants_detects_diverged_persisted_frequency() {
         let db = Database::in_memory().unwrap();
         let m = build_table1(&db);
@@ -1496,158 +1457,6 @@ mod tests {
             err.contains("next_tid") && err.contains("reissue"),
             "got: {err}"
         );
-    }
-
-    #[test]
-    fn lsh_tier_answers_without_touching_the_eti() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        for mode in [QueryMode::Basic, QueryMode::Osc] {
-            let result = m
-                .lookup_with(
-                    &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                    1,
-                    0.0,
-                    mode,
-                )
-                .unwrap();
-            assert_eq!(result.matches[0].tid, 1, "under {mode:?}");
-            let t = result.trace;
-            t.check_consistent().unwrap();
-            assert!(t.lsh_probes > 0, "{t:?}");
-            assert!(t.lsh_collisions > 0, "{t:?}");
-            assert_eq!(t.lsh_fallbacks, 0, "{t:?}");
-            // The pure LSH path never probes a signature coordinate.
-            assert_eq!(t.qgrams_probed, 0, "{t:?}");
-        }
-        let snap = m.metrics_snapshot();
-        assert!(snap.lsh_probes > 0 && snap.lsh_collisions > 0);
-        snap.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lsh_tier_falls_back_to_the_eti_on_a_miss() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let garbage = Record::new(&["zzzzqqqq xyxyxy", "nowhere", "ZZ", "00000"]);
-        let result = m.lookup(&garbage, 3, 0.9).unwrap();
-        assert!(result.matches.is_empty());
-        let t = result.trace;
-        t.check_consistent().unwrap();
-        assert_eq!(t.lsh_fallbacks, 1, "{t:?}");
-        assert!(t.lsh_probes > 0, "{t:?}");
-        assert!(t.qgrams_probed > 0, "the rerun goes through the ETI: {t:?}");
-        assert_eq!(m.metrics_snapshot().lsh_fallbacks, 1);
-    }
-
-    #[test]
-    fn auto_tier_uses_the_eti_on_a_small_relation() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Auto);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let result = m
-            .lookup(
-                &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                1,
-                0.0,
-            )
-            .unwrap();
-        assert_eq!(result.matches[0].tid, 1);
-        assert_eq!(result.trace.lsh_probes, 0, "{:?}", result.trace);
-        assert!(result.trace.qgrams_probed > 0);
-    }
-
-    #[test]
-    fn lsh_tier_sees_maintenance_inserts_and_deletes() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let tid = m
-            .insert_reference(&Record::new(&[
-                "Microsoft Corporation",
-                "Redmond",
-                "WA",
-                "98052",
-            ]))
-            .unwrap();
-        // The new tuple is reachable *through the LSH tier*, with errors.
-        let input = Record::new(&["Microsft Corp", "Redmond", "WA", "98052"]);
-        let result = m.lookup(&input, 1, 0.0).unwrap();
-        assert_eq!(result.matches[0].tid, tid);
-        assert!(result.trace.lsh_probes > 0);
-        // Invariants hold over the maintained posting lists, and deletion
-        // unwires the tuple from the tier again.
-        let check = m.check_invariants().unwrap();
-        assert!(check.lsh.groups > 0 && check.lsh.tids > 0);
-        m.delete_reference(tid).unwrap();
-        let after = m.lookup(&input, 3, 0.0).unwrap();
-        assert!(after.matches.iter().all(|x| x.tid != tid), "{after:?}");
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lsh_tier_is_shared_by_replicas() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let replica = m.replicate();
-        let tid = m
-            .insert_reference(&Record::new(&["Amazon Inc", "Kent", "WA", "98030"]))
-            .unwrap();
-        let result = replica
-            .lookup(&Record::new(&["Amzon Inc", "Kent", "WA", "98030"]), 1, 0.0)
-            .unwrap();
-        assert_eq!(result.matches[0].tid, tid);
-        assert!(result.trace.lsh_probes > 0);
-        // One shared registry accounts tier counters from both handles.
-        assert!(m.metrics_snapshot().lsh_probes > 0);
-    }
-
-    #[test]
-    fn lsh_tier_persists_across_reopen() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("fm-core-lsh-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let db = Database::open_file(&path, 256).unwrap();
-            let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-            let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-            assert!(m.lsh_entry_count().unwrap() > 0);
-            db.flush().unwrap();
-        }
-        {
-            let db = Database::open_file(&path, 256).unwrap();
-            let m = FuzzyMatcher::open(&db, "org").unwrap();
-            assert_eq!(m.config().candidate_tier, CandidateTier::Lsh);
-            let result = m
-                .lookup(
-                    &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                    1,
-                    0.0,
-                )
-                .unwrap();
-            assert_eq!(result.matches[0].tid, 1);
-            assert!(result.trace.lsh_probes > 0);
-            m.check_invariants().unwrap();
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn set_candidate_tier_overrides_per_handle() {
-        let db = Database::in_memory().unwrap();
-        let mut m = build_table1(&db); // default Eti tier
-        let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
-        assert_eq!(m.lookup(&input, 1, 0.0).unwrap().trace.lsh_probes, 0);
-        m.set_candidate_tier(CandidateTier::Lsh);
-        let traced = m.lookup(&input, 1, 0.0).unwrap();
-        assert_eq!(traced.matches[0].tid, 1);
-        assert!(traced.trace.lsh_probes > 0);
-        // The persisted config still decodes to the built tier.
-        let reopened = FuzzyMatcher::open(&db, "org").unwrap();
-        assert_eq!(reopened.config().candidate_tier, CandidateTier::Eti);
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl NaiveMatcher {
         for (tid, reference) in &self.reference {
             let similarity = sim.fms(&tokens, reference);
             if similarity >= c {
-                crate::query::insert_match(
-                    &mut top,
+                top = crate::query::insert_match(
+                    top,
                     ScoredMatch {
                         tid: *tid,
                         similarity,
@@ -159,8 +159,8 @@ impl EditDistanceMatcher {
         for (tid, reference) in &self.reference {
             let similarity = 1.0 - edit.normalized(&flat, reference);
             if similarity >= c {
-                crate::query::insert_match(
-                    &mut top,
+                top = crate::query::insert_match(
+                    top,
                     ScoredMatch {
                         tid: *tid,
                         similarity,

@@ -22,7 +22,6 @@
 
 pub mod basic;
 pub mod osc;
-pub(crate) mod source;
 
 use std::collections::HashMap;
 
@@ -38,10 +37,6 @@ use crate::weights::WeightProvider;
 
 pub use basic::basic_lookup;
 pub use osc::osc_lookup;
-
-pub(crate) use basic::basic_lookup_with;
-pub(crate) use osc::osc_lookup_with;
-pub(crate) use source::{CandidateSource, EtiSource, LshSource, Probed};
 
 /// Which query algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,24 +124,10 @@ pub(crate) struct PlannedGram {
     pub weight: f64,
 }
 
-/// One weighted input token — the tier-independent half of the plan. The
-/// LSH source expands these into band-key probes ([`source::LshSource`]),
-/// the ETI source uses the pre-expanded [`PlannedGram`]s.
-#[derive(Debug, Clone)]
-pub(crate) struct PlannedToken {
-    pub column: u8,
-    pub token: String,
-    /// `w(t)`: IDF weight × column factor.
-    pub weight: f64,
-}
-
 /// The query plan for one input tuple.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
     pub grams: Vec<PlannedGram>,
-    /// The weighted tokens behind `grams`, for sources that probe at token
-    /// granularity.
-    pub tokens: Vec<PlannedToken>,
     /// `w(u)`: total weight of the input token set.
     pub wu: f64,
     /// `Σ_t w(t)·(1 − 1/q)`: the full adjustment term.
@@ -162,18 +143,12 @@ pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
 ) -> QueryPlan {
     let dq = 1.0 - 1.0 / config.q as f64;
     let mut grams = Vec::new();
-    let mut tokens = Vec::new();
     let mut wu = 0.0;
     let mut adjustment = 0.0;
     for (col, token) in input.iter_tokens() {
         let w = config.column_factor(col) * weights.weight(col, token);
         wu += w;
         adjustment += w * dq;
-        tokens.push(PlannedToken {
-            column: col as u8,
-            token: token.to_string(),
-            weight: w,
-        });
         for entry in token_signature(token, minhasher, config.scheme) {
             grams.push(PlannedGram {
                 column: col as u8,
@@ -185,7 +160,6 @@ pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
     }
     QueryPlan {
         grams,
-        tokens,
         wu,
         adjustment,
     }
@@ -327,14 +301,19 @@ where
             }
         };
         if similarity >= c {
-            insert_match(&mut top, ScoredMatch { tid, similarity }, k);
+            top = insert_match(top, ScoredMatch { tid, similarity }, k);
         }
     }
     Ok(top)
 }
 
-/// Insert into a K-bounded list kept sorted by (similarity desc, tid asc).
-pub(crate) fn insert_match(top: &mut Vec<ScoredMatch>, m: ScoredMatch, k: usize) {
+/// Insert into a K-bounded list kept sorted by (similarity desc, tid asc),
+/// returning the list.
+pub(crate) fn insert_match(
+    mut top: Vec<ScoredMatch>,
+    m: ScoredMatch,
+    k: usize,
+) -> Vec<ScoredMatch> {
     let pos = top
         .iter()
         .position(|x| {
@@ -343,6 +322,7 @@ pub(crate) fn insert_match(top: &mut Vec<ScoredMatch>, m: ScoredMatch, k: usize)
         .unwrap_or(top.len());
     top.insert(pos, m);
     top.truncate(k);
+    top
 }
 
 #[cfg(test)]
@@ -374,10 +354,6 @@ mod tests {
         // Every long token contributes H grams; all are 4-grams of their
         // token or whole short tokens.
         assert_eq!(plan.grams.len(), 6);
-        // The token-level half of the plan carries the same total weight.
-        assert_eq!(plan.tokens.len(), 3);
-        let wt: f64 = plan.tokens.iter().map(|t| t.weight).sum();
-        assert!((wt - plan.wu).abs() < 1e-12);
     }
 
     #[test]
@@ -435,7 +411,7 @@ mod tests {
     fn insert_match_keeps_k_best_sorted() {
         let mut top = Vec::new();
         for (tid, s) in [(1, 0.5), (2, 0.9), (3, 0.7), (4, 0.9), (5, 0.2)] {
-            insert_match(&mut top, ScoredMatch { tid, similarity: s }, 3);
+            top = insert_match(top, ScoredMatch { tid, similarity: s }, 3);
         }
         let tids: Vec<u32> = top.iter().map(|m| m.tid).collect();
         // 0.9 (tid 2), 0.9 (tid 4), 0.7 (tid 3); tie broken by tid.

@@ -2,8 +2,8 @@
 //!
 //! Token weights vary a lot (that is the whole point of IDF weighting), so
 //! the heaviest few q-grams often determine the winner. OSC therefore
-//! processes probe units in **decreasing weight order** and, after each
-//! tid-list, runs a two-stage gate:
+//! processes signature coordinates in **decreasing weight order** and,
+//! after each tid-list, runs a two-stage gate:
 //!
 //! * **fetching test** — linearly extrapolate the current K-th best score
 //!   over the weight still to come; if even the extrapolation beats the
@@ -13,30 +13,26 @@
 //!   at least the best possible final (normalized) score of any other
 //!   tuple, the answer is provably final (w.h.p.) and the remaining — by
 //!   construction lighter and higher-frequency, hence more expensive —
-//!   units are never looked up.
+//!   q-grams are never looked up.
 //!
 //! A failed stopping test costs only the (cached) fms evaluations; the
-//! algorithm keeps processing units and falls back to the basic
+//! algorithm keeps processing q-grams and falls back to the basic
 //! verification phase after the last one.
-//!
-//! The gates reason only about weights and scores, so the same machinery
-//! runs over either candidate tier ([`CandidateSource`]): ETI signature
-//! coordinates or LSH band keys.
 
 use std::collections::HashMap;
 
 use crate::error::Result;
+use crate::eti::TidList;
 use crate::metrics::LookupTrace;
 use crate::query::{
-    insert_match, plan_query, verify_candidates, CandidateSource, EtiSource, Probed, QueryContext,
-    ReferenceFetch, ScoreTable, ScoredMatch,
+    insert_match, plan_query, verify_candidates, QueryContext, ReferenceFetch, ScoreTable,
+    ScoredMatch,
 };
 use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
 
-/// Answer a K-fuzzy-match query with optimistic short circuiting over the
-/// exact ETI tier.
+/// Answer a K-fuzzy-match query with optimistic short circuiting.
 pub fn osc_lookup<W, F>(
     ctx: &QueryContext<'_, W, F>,
     input: &TokenizedRecord,
@@ -47,66 +43,69 @@ where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
 {
-    osc_lookup_with(ctx, &EtiSource { eti: ctx.eti }, input, k, c)
-}
-
-/// OSC over any [`CandidateSource`].
-pub(crate) fn osc_lookup_with<W, F, S>(
-    ctx: &QueryContext<'_, W, F>,
-    source: &S,
-    input: &TokenizedRecord,
-    k: usize,
-    c: f64,
-) -> Result<(Vec<ScoredMatch>, LookupTrace)>
-where
-    W: WeightProvider + ?Sized,
-    F: ReferenceFetch + ?Sized,
-    S: CandidateSource + ?Sized,
-{
     let mut trace = LookupTrace::default();
     if k == 0 {
         return Ok((Vec::new(), trace));
     }
     let plan_span = crate::tracing::span("plan");
-    let plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
+    let mut plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
     if plan.wu == 0.0 {
         return Ok((Vec::new(), trace));
     }
-    let mut units = source.plan_units(&plan);
     // Step 3.1: decreasing weight order; ties broken deterministically.
-    units.sort_by(|a, b| b.weight.total_cmp(&a.weight).then_with(|| a.tie_cmp(b)));
+    plan.grams.sort_by(|a, b| {
+        b.weight.total_cmp(&a.weight).then_with(|| {
+            (a.column, a.coordinate, a.gram.as_str()).cmp(&(
+                b.column,
+                b.coordinate,
+                b.gram.as_str(),
+            ))
+        })
+    });
     drop(plan_span);
 
     let threshold = c * plan.wu;
-    let total: f64 = units.iter().map(|u| u.weight).sum();
+    let total: f64 = plan.grams.iter().map(|g| g.weight).sum();
     let mut remaining = total; // w(Q_p) − w(Q_i)
-    let mut processed_scored = 0.0; // weight of non-stop units processed
+    let mut processed_scored = 0.0; // weight of non-stop grams processed
     let mut stop_credit = 0.0;
     let mut table = ScoreTable::default();
     let mut sim = Similarity::new(ctx.weights, ctx.config);
     let mut fms_cache: HashMap<u32, f64> = HashMap::new();
 
-    let n_units = units.len();
+    let n_grams = plan.grams.len();
     let probe_span = crate::tracing::span("probe");
-    for (i, unit) in units.iter().enumerate() {
-        match source.probe(unit, &mut trace)? {
-            Probed::Missing => {}
-            Probed::Stop => stop_credit += unit.weight,
-            Probed::Tids(tids) => {
+    for (i, gram) in plan.grams.iter().enumerate() {
+        trace.qgrams_probed += 1;
+        let (list, rows) = ctx
+            .eti
+            .lookup_counted(&gram.gram, gram.coordinate, gram.column)?;
+        trace.eti_rows += rows;
+        match list {
+            None => {}
+            Some(TidList { tids: None, .. }) => {
+                trace.stop_qgrams += 1;
+                stop_credit += gram.weight;
+            }
+            Some(TidList {
+                tids: Some(tids), ..
+            }) => {
+                trace.tid_list_entries += tids.len() as u64;
+                trace.tid_list_max = trace.tid_list_max.max(tids.len() as u64);
                 let admit_new =
                     !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
-                table.absorb(&tids, unit.weight, admit_new, &mut trace);
-                processed_scored += unit.weight;
+                table.absorb(&tids, gram.weight, admit_new, &mut trace);
+                processed_scored += gram.weight;
             }
         }
-        remaining -= unit.weight;
+        remaining -= gram.weight;
 
         // Step 8.1: the short-circuit procedure — pointless after the last
-        // unit (the fallback handles that) or before anything scored.
-        if i + 1 == n_units || processed_scored <= 0.0 || table.len() == 0 {
+        // gram (the fallback handles that) or before anything scored.
+        if i + 1 == n_grams || processed_scored <= 0.0 || table.len() == 0 {
             continue;
         }
-        // Raw scores, with stop-row weight credited (those lists were
+        // Raw scores, with stop-q-gram weight credited (those lists were
         // never scored, so a candidate may own them in full).
         let tops = table.top_scores(k + 1, 0.0);
         let ss_k = tops[k - 1].1 + stop_credit;
@@ -163,7 +162,7 @@ where
                 all_pass = false;
                 break;
             }
-            insert_match(&mut verified, ScoredMatch { tid, similarity }, k);
+            verified = insert_match(verified, ScoredMatch { tid, similarity }, k);
         }
         // Stopping test: every fetched tuple dominates anything unfetched.
         if all_pass {

@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fm_core::telemetry::{histogram_delta, PromText, WindowSnapshot};
-use fm_core::{FuzzyMatcher, LookupTrace, MatchResult, MetricsSnapshot, Record};
+use fm_core::{FuzzyMatcher, LookupTrace, MatchResult, Record};
 use fm_store::Database;
 
 use crate::json::Json;
@@ -562,7 +562,7 @@ fn sampler_loop(inner: &Arc<Inner>, stop: &mpsc::Receiver<()>) {
 /// sampler windows over.
 struct SamplerCut {
     at_us: u64,
-    matcher: MetricsSnapshot,
+    lookups: u64,
     counters: CountersSnapshot,
     store: fm_store::StoreStats,
     replica_served: Vec<u64>,
@@ -574,7 +574,7 @@ impl SamplerCut {
     fn capture(inner: &Inner) -> SamplerCut {
         SamplerCut {
             at_us: u64::try_from(inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX),
-            matcher: inner.primary().metrics_snapshot(),
+            lookups: inner.primary().metrics_snapshot().lookups,
             counters: inner.counters.snapshot(),
             store: inner.db.stats(),
             replica_served: inner.telemetry.replica_served(),
@@ -630,27 +630,7 @@ impl Inner {
         }
         counters.push((
             "lookups".to_string(),
-            cut.matcher.lookups.saturating_sub(prev.matcher.lookups),
-        ));
-        // Candidate-tier activity per window (DESIGN §12): how much work
-        // the LSH tier did and how often its recall safety net fired.
-        counters.push((
-            "lsh_probes".to_string(),
-            cut.matcher
-                .lsh_probes
-                .saturating_sub(prev.matcher.lsh_probes),
-        ));
-        counters.push((
-            "lsh_collisions".to_string(),
-            cut.matcher
-                .lsh_collisions
-                .saturating_sub(prev.matcher.lsh_collisions),
-        ));
-        counters.push((
-            "lsh_fallbacks".to_string(),
-            cut.matcher
-                .lsh_fallbacks
-                .saturating_sub(prev.matcher.lsh_fallbacks),
+            cut.lookups.saturating_sub(prev.lookups),
         ));
         let pool_hits = cut.store.hits.saturating_sub(prev.store.hits);
         let pool_misses = cut.store.misses.saturating_sub(prev.store.misses);
@@ -1160,13 +1140,6 @@ impl Inner {
                         ("fms_evals", Json::from(m.fms_evals)),
                         ("osc_attempts", Json::from(m.osc_attempts)),
                         ("osc_short_circuits", Json::from(m.osc_short_circuits)),
-                        ("lsh_probes", Json::from(m.lsh_probes)),
-                        ("lsh_collisions", Json::from(m.lsh_collisions)),
-                        ("lsh_fallbacks", Json::from(m.lsh_fallbacks)),
-                        (
-                            "candidate_tier",
-                            Json::from(self.primary().config().candidate_tier.label()),
-                        ),
                         (
                             "latency",
                             Json::obj(vec![

@@ -19,41 +19,63 @@ const ESCAPE: u8 = 0x00;
 const ESCAPED_00: u8 = 0xFF;
 const TERMINATOR: u8 = 0x01;
 
-/// Append the order-preserving encoding of a byte string.
-pub fn encode_bytes(out: &mut Vec<u8>, s: &[u8]) {
-    for &b in s {
-        if b == ESCAPE {
-            out.push(ESCAPE);
-            out.push(ESCAPED_00);
-        } else {
-            out.push(b);
-        }
+/// A composite key under construction. Each method appends one field's
+/// order-preserving encoding, so keys compare field by field in the order
+/// the fields were added. The buffer moves through the calls by value, so
+/// building a key takes no `&mut` borrow: lookups build ETI keys on the
+/// hot read path, whose `&mut` sites `xtask-mutmap.budget` counts.
+#[derive(Debug, Default)]
+pub struct KeyBuf(Vec<u8>);
+
+impl KeyBuf {
+    /// An empty key with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> KeyBuf {
+        KeyBuf(Vec::with_capacity(capacity))
     }
-    out.push(ESCAPE);
-    out.push(TERMINATOR);
+
+    /// Append a byte string, terminator-escaped.
+    #[must_use]
+    pub fn bytes(mut self, s: &[u8]) -> KeyBuf {
+        for &b in s {
+            if b == ESCAPE {
+                self.0.push(ESCAPE);
+                self.0.push(ESCAPED_00);
+            } else {
+                self.0.push(b);
+            }
+        }
+        self.0.push(ESCAPE);
+        self.0.push(TERMINATOR);
+        self
+    }
+
+    /// Append a UTF-8 string.
+    #[must_use]
+    pub fn str(self, s: &str) -> KeyBuf {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Append a `u8` (single byte, already order-preserving).
+    #[must_use]
+    pub fn u8(mut self, v: u8) -> KeyBuf {
+        self.0.push(v);
+        self
+    }
+
+    /// Append a big-endian `u32`.
+    #[must_use]
+    pub fn u32(mut self, v: u32) -> KeyBuf {
+        self.0.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+
+    /// The encoded key.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
 }
 
-/// Append the order-preserving encoding of a UTF-8 string.
-pub fn encode_str(out: &mut Vec<u8>, s: &str) {
-    encode_bytes(out, s.as_bytes());
-}
-
-/// Append a `u8` (single byte, already order-preserving).
-pub fn encode_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-/// Append a big-endian `u32`.
-pub fn encode_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a big-endian `u64`.
-pub fn encode_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Decode a byte string encoded by [`encode_bytes`] from the front of
+/// Decode a byte string encoded by [`KeyBuf::bytes`] from the front of
 /// `input`. Returns the decoded bytes and the remaining input.
 pub fn decode_bytes(input: &[u8]) -> Result<(Vec<u8>, &[u8])> {
     let mut out = Vec::new();
@@ -86,7 +108,7 @@ pub fn decode_bytes(input: &[u8]) -> Result<(Vec<u8>, &[u8])> {
     }
 }
 
-/// Decode a UTF-8 string encoded by [`encode_str`].
+/// Decode a UTF-8 string encoded by [`KeyBuf::str`].
 pub fn decode_str(input: &[u8]) -> Result<(String, &[u8])> {
     let (bytes, rest) = decode_bytes(input)?;
     let s = String::from_utf8(bytes)
@@ -113,25 +135,12 @@ pub fn decode_u32(input: &[u8]) -> Result<(u32, &[u8])> {
     Ok((u32::from_be_bytes(buf), rest))
 }
 
-/// Decode a big-endian `u64`.
-pub fn decode_u64(input: &[u8]) -> Result<(u64, &[u8])> {
-    if input.len() < 8 {
-        return Err(StoreError::Corrupt("truncated u64 key field".into()));
-    }
-    let (head, rest) = input.split_at(8);
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(head);
-    Ok((u64::from_be_bytes(buf), rest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn enc_str(s: &str) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_str(&mut out, s);
-        out
+        KeyBuf::default().str(s).into_bytes()
     }
 
     #[test]
@@ -178,12 +187,7 @@ mod tests {
     fn composite_key_order() {
         // (string, u8, u8, u32) composite: order must be field-major.
         let make = |s: &str, a: u8, b: u8, c: u32| {
-            let mut out = Vec::new();
-            encode_str(&mut out, s);
-            encode_u8(&mut out, a);
-            encode_u8(&mut out, b);
-            encode_u32(&mut out, c);
-            out
+            KeyBuf::default().str(s).u8(a).u8(b).u32(c).into_bytes()
         };
         let k1 = make("ing", 1, 0, 0);
         let k2 = make("ing", 1, 0, 1);
@@ -199,21 +203,17 @@ mod tests {
 
     #[test]
     fn composite_key_round_trip() {
-        let mut out = Vec::new();
-        encode_str(&mut out, "q\0gram");
-        encode_u8(&mut out, 3);
-        encode_u8(&mut out, 250);
-        encode_u32(&mut out, 0xDEAD_BEEF);
-        encode_u64(&mut out, u64::MAX);
+        let out = KeyBuf::default()
+            .str("q\0gram")
+            .u8(3)
+            .u8(250)
+            .u32(0xDEAD_BEEF)
+            .into_bytes();
         let (s, rest) = decode_str(&out).unwrap();
         let (a, rest) = decode_u8(rest).unwrap();
         let (b, rest) = decode_u8(rest).unwrap();
         let (c, rest) = decode_u32(rest).unwrap();
-        let (d, rest) = decode_u64(rest).unwrap();
-        assert_eq!(
-            (s.as_str(), a, b, c, d),
-            ("q\0gram", 3, 250, 0xDEAD_BEEF, u64::MAX)
-        );
+        assert_eq!((s.as_str(), a, b, c), ("q\0gram", 3, 250, 0xDEAD_BEEF));
         assert!(rest.is_empty());
     }
 
@@ -221,10 +221,8 @@ mod tests {
     fn u32_order_preserved() {
         let values = [0u32, 1, 255, 256, 65535, 1 << 20, u32::MAX - 1, u32::MAX];
         for w in values.windows(2) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            encode_u32(&mut a, w[0]);
-            encode_u32(&mut b, w[1]);
+            let a = KeyBuf::default().u32(w[0]).into_bytes();
+            let b = KeyBuf::default().u32(w[1]).into_bytes();
             assert!(a < b);
         }
     }
@@ -236,11 +234,9 @@ mod tests {
         assert!(decode_str(&[0x00]).is_err()); // dangling escape
         assert!(decode_str(&[0x00, 0x42]).is_err()); // bad escape byte
         assert!(decode_u32(&[1, 2, 3]).is_err());
-        assert!(decode_u64(&[1, 2, 3, 4, 5, 6, 7]).is_err());
         assert!(decode_u8(&[]).is_err());
         // Invalid UTF-8 under the string decoder.
-        let mut enc = Vec::new();
-        encode_bytes(&mut enc, &[0xFF, 0xFE]);
+        let enc = KeyBuf::default().bytes(&[0xFF, 0xFE]).into_bytes();
         assert!(decode_str(&enc).is_err());
         assert!(decode_bytes(&enc).is_ok());
     }

@@ -135,8 +135,7 @@ proptest! {
 
     #[test]
     fn keycode_string_round_trip(s in "\\PC{0,32}") {
-        let mut enc = Vec::new();
-        keycode::encode_str(&mut enc, &s);
+        let enc = keycode::KeyBuf::default().str(&s).into_bytes();
         let (dec, rest) = keycode::decode_str(&enc).unwrap();
         prop_assert_eq!(dec, s);
         prop_assert!(rest.is_empty());
@@ -145,10 +144,8 @@ proptest! {
     #[test]
     fn keycode_bytes_order_preserving(a in prop::collection::vec(any::<u8>(), 0..24),
                                       b in prop::collection::vec(any::<u8>(), 0..24)) {
-        let mut ea = Vec::new();
-        let mut eb = Vec::new();
-        keycode::encode_bytes(&mut ea, &a);
-        keycode::encode_bytes(&mut eb, &b);
+        let ea = keycode::KeyBuf::default().bytes(&a).into_bytes();
+        let eb = keycode::KeyBuf::default().bytes(&b).into_bytes();
         prop_assert_eq!(a.cmp(&b), ea.cmp(&eb));
     }
 
@@ -158,11 +155,7 @@ proptest! {
         s2 in "[a-z]{0,6}", c2 in any::<u8>(), n2 in any::<u32>(),
     ) {
         let encode = |s: &str, c: u8, n: u32| {
-            let mut out = Vec::new();
-            keycode::encode_str(&mut out, s);
-            keycode::encode_u8(&mut out, c);
-            keycode::encode_u32(&mut out, n);
-            out
+            keycode::KeyBuf::default().str(s).u8(c).u32(n).into_bytes()
         };
         let logical = (s1.as_str(), c1, n1).cmp(&(s2.as_str(), c2, n2));
         let encoded = encode(&s1, c1, n1).cmp(&encode(&s2, c2, n2));

@@ -4,6 +4,9 @@
 //! data generation, error injection) derives from explicit `u64` seeds via
 //! SplitMix64, so every experiment is exactly reproducible from its seed.
 
+/// The SplitMix64 state increment.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 — a tiny, high-quality mixer used both as a seed expander and
 /// as the finalizer of [`hash_bytes`].
 ///
@@ -11,19 +14,20 @@
 /// generators", OOPSLA 2014. This is the exact standard constant set.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    let z = mix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    z
+}
+
+/// Mix a single `u64` to a well-distributed `u64`: the output of one
+/// SplitMix64 step from state `x`. Pure, so the lookup path's hashing takes
+/// no `&mut` state.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Mix a single `u64` to a well-distributed `u64` (stateless SplitMix64
-/// finalizer).
-#[inline]
-pub fn mix64(x: u64) -> u64 {
-    let mut s = x;
-    splitmix64(&mut s)
 }
 
 /// Hash a byte string under a seed.

@@ -11,8 +11,6 @@
 //! * [`mod@jaccard`] — the Jaccard coefficient between sets (paper §4.1);
 //! * [`minhash`] — min-hash signatures over q-gram sets (paper §4.1,
 //!   "Min-hash Similarity");
-//! * [`lsh`] — banding of those signatures into seeded band keys (the
-//!   b×r LSH construction) with the `1-(1-s^r)^b` tuning curve;
 //! * [`hash`] — the deterministic seeded hash functions everything above is
 //!   built on.
 //!
@@ -24,14 +22,12 @@
 pub mod edit_distance;
 pub mod hash;
 pub mod jaccard;
-pub mod lsh;
 pub mod minhash;
 pub mod qgram;
 pub mod tokenize;
 
 pub use edit_distance::{levenshtein, normalized_edit_distance, EditBuffer};
 pub use jaccard::jaccard;
-pub use lsh::{collision_probability, Bander};
 pub use minhash::{MinHasher, Signature};
 pub use qgram::{qgram_set, qgram_similarity_upper_bound};
 pub use tokenize::{tokenize, tokenize_into, Tokenizer};
